@@ -16,7 +16,9 @@ re-derive the world from the original initial data.
   baseline — later heals measure damage against them, exactly as the
   first heal measures damage against the initial data;
 - a combined history across all epochs supports end-to-end
-  strict-correctness audits against the original initial data.
+  strict-correctness audits against the original initial data; each
+  audit resumes one replay of that history, so it costs O(steps healed
+  since the last audit + objects), not O(history).
 
 One consequence of rolling: alerts naming instances of an already-rolled
 epoch are ignored by later heals (their log is archived).  Process every
@@ -33,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.axioms import (
     CorrectnessReport,
     HistoryStep,
-    audit_strict_correctness,
+    StrictCorrectnessReplay,
 )
 from repro.core.healer import HealReport, Healer
 from repro.errors import RecoveryError
@@ -61,9 +63,11 @@ class EpochManager:
     def __init__(self, store: DataStore,
                  initial_data: Mapping[str, Any]) -> None:
         self._store = store
-        self._initial_data = dict(initial_data)
         self._log = SystemLog()
         self._specs: Dict[str, WorkflowSpec] = {}
+        # One Definition 2 replay, resumed by every audit: it already
+        # holds the state a from-scratch replay reaches at its step count.
+        self._replay = StrictCorrectnessReplay(self._specs, initial_data)
         self._baseline: Optional[Dict[str, int]] = None
         self._epoch = 0
         self._archived: List[SystemLog] = []
@@ -193,10 +197,12 @@ class EpochManager:
 
     def audit(self) -> CorrectnessReport:
         """Audit the accumulated healed history against the *original*
-        initial data (Definition 2, end to end across epochs)."""
-        return audit_strict_correctness(
-            self._specs,
-            self._initial_data,
-            self.combined_history,
-            self._store.snapshot(),
-        )
+        initial data (Definition 2, end to end across epochs).
+
+        Replays only the steps healed since the previous audit, then
+        compares the whole healed store with the replay — the same
+        verdict as :func:`~repro.core.axioms.audit_strict_correctness`
+        over :attr:`combined_history`.
+        """
+        self._replay.extend(self._combined_history[self._replay.steps:])
+        return self._replay.report(self._store.snapshot())

@@ -11,7 +11,8 @@ and checks every run against a composite oracle:
   cross-check of the Theorem 1–3 analyses;
 - **audit** (O2): after the last stage, the accumulated healed history
   must satisfy the Definition 2 strict-correctness audit
-  (:meth:`~repro.core.epochs.EpochManager.audit`);
+  (:meth:`~repro.core.epochs.EpochManager.audit`), and that resumed
+  verdict must equal a one-shot replay of the combined history;
 - **determinism** (O3): running the episode twice must produce
   bit-identical flight logs (the replay contract every debugging and
   conformance tool in the repo depends on);
@@ -49,6 +50,7 @@ from typing import (
 )
 
 from repro.core.analyzer import RecoveryAnalyzer
+from repro.core.axioms import audit_strict_correctness
 from repro.core.epochs import EpochManager
 from repro.errors import GenerationError
 from repro.fleet.control import FleetConfig, FleetControlPlane, FleetReport
@@ -465,6 +467,16 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
     if not audit.ok:
         violations.append(Violation(
             "audit", "; ".join(audit.problems[:3])
+        ))
+    # The manager's audit resumes one replay across heals; it must agree
+    # with a from-scratch replay of the same combined history.
+    if audit != audit_strict_correctness(
+        manager.specs_by_instance, initial, manager.combined_history,
+        manager.store.snapshot(),
+    ):
+        violations.append(Violation(
+            "audit", "resumed audit differs from a one-shot replay of "
+            "the combined history"
         ))
     # Close the LTLf trace *before* the flight log: the finalize
     # violations land in the recorded text, so the determinism oracle's

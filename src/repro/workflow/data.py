@@ -94,22 +94,27 @@ class DataStore:
 
     def latest(self, name: str) -> Version:
         """Latest :class:`Version` of ``name``."""
-        try:
-            return self._history[name][-1]
-        except KeyError:
-            raise DataStoreError(f"unknown data object {name!r}") from None
+        return self._versions(name)[-1]
 
     def version(self, name: str, number: int) -> Version:
-        """A specific historical version of ``name``."""
-        for v in self.history(name):
-            if v.number == number:
-                return v
+        """A specific historical version of ``name``.
+
+        Version numbers run ``0..n-1`` without gaps (:meth:`write`
+        appends the next number), so the number is the list index.
+        """
+        versions = self._versions(name)
+        if 0 <= number < len(versions):
+            return versions[number]
         raise VersionNotFoundError(f"{name!r} has no version {number}")
 
     def history(self, name: str) -> Tuple[Version, ...]:
         """Full version history of ``name``, oldest first."""
+        return tuple(self._versions(name))
+
+    def _versions(self, name: str) -> List[Version]:
+        """The live version list of ``name`` (not a copy)."""
         try:
-            return tuple(self._history[name])
+            return self._history[name]
         except KeyError:
             raise DataStoreError(f"unknown data object {name!r}") from None
 
@@ -151,13 +156,14 @@ class DataStore:
         This is the paper's "last version of the data object before the
         attack": undoing a write with version ``number`` restores this.
         """
-        candidates = [v for v in self.history(name) if v.number < number]
-        if not candidates:
+        versions = self._versions(name)
+        index = min(number, len(versions)) - 1
+        if index < 0:
             raise VersionNotFoundError(
                 f"{name!r} has no version before {number} "
                 "(object was created by the undone task)"
             )
-        return candidates[-1]
+        return versions[index]
 
 
 class MultiVersionDataStore(DataStore):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.axioms import (
     CorrectnessReport,
     HistoryStep,
+    StrictCorrectnessReplay,
     audit_strict_correctness,
     generates_incorrect_data,
 )
@@ -136,3 +137,67 @@ class TestAudit:
     def test_report_truthiness(self):
         assert CorrectnessReport(ok=True)
         assert not CorrectnessReport(ok=False, problems=["x"])
+
+    def test_read_of_unknown_object_is_reported_not_raised(self):
+        ghost = (
+            workflow("g")
+            .task("t", reads=["ghost"], writes=["out"],
+                  compute=lambda d: {"out": d["ghost"]})
+            .build()
+        )
+        report = audit_strict_correctness(
+            {"run": ghost}, {}, history(("t", 1)), {}
+        )
+        assert not report.ok
+        assert report.problems == [
+            "run/t#1: replay read unknown data object 'ghost'"
+        ]
+
+    def test_workflow_stops_after_unknown_read(self):
+        ghost = (
+            workflow("g")
+            .task("t", reads=["ghost"], writes=["out"],
+                  compute=lambda d: {"out": d["ghost"]})
+            .task("u", reads=[], writes=["done"],
+                  compute=lambda d: {"done": 1})
+            .chain("t", "u")
+            .build()
+        )
+        report = audit_strict_correctness(
+            {"run": ghost}, {}, history(("t", 1), ("u", 1)), {"done": 1}
+        )
+        assert any("already finished" in p for p in report.problems)
+
+
+class TestResumableReplay:
+    INITIAL = {"x": 1, "y": 0, "z": 0}
+
+    def test_chunked_extend_equals_one_shot(self):
+        steps = history(("a", 1), ("b", 1))
+        final = {"x": 1, "y": 2, "z": 4}
+        replay = StrictCorrectnessReplay({"run": spec_ab()}, self.INITIAL)
+        replay.extend(steps[:1])
+        replay.extend(steps[1:])
+        assert replay.steps == 2
+        assert replay.report(final) == audit_strict_correctness(
+            {"run": spec_ab()}, self.INITIAL, steps, final
+        )
+
+    def test_report_leaves_state_unchanged(self):
+        replay = StrictCorrectnessReplay({"run": spec_ab()}, self.INITIAL)
+        replay.extend(history(("a", 1)))
+        partial = {"x": 1, "y": 2, "z": 0}
+        first = replay.report(partial)
+        assert not first.ok  # "run" has not reached its end node yet
+        assert replay.report(partial) == first
+        first.replayed_snapshot["y"] = 999
+        replay.extend(history(("b", 1)))
+        assert replay.report({"x": 1, "y": 2, "z": 4}).ok
+
+    def test_problems_found_earlier_persist(self):
+        replay = StrictCorrectnessReplay({"run": spec_ab()}, self.INITIAL)
+        replay.extend(history(("b", 1)))
+        replay.extend(history(("a", 1)))
+        report = replay.report({"x": 1, "y": 0, "z": 0})
+        assert any("illegal path" in p for p in report.problems)
+        assert any("already finished" in p for p in report.problems)

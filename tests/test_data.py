@@ -1,6 +1,8 @@
 """Unit tests for the versioned data stores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DataStoreError, VersionNotFoundError
 from repro.workflow.data import (
@@ -109,3 +111,63 @@ class TestTombstone:
 
         assert _Tombstone() is TOMBSTONE
         assert repr(TOMBSTONE) == "<TOMBSTONE>"
+
+
+def _scan_version(store, name, number):
+    """The literal lookup: scan the whole history for ``number``."""
+    for v in store.history(name):
+        if v.number == number:
+            return v
+    return None
+
+
+def _scan_before(store, name, number):
+    """The literal lookup: the newest version numbered below ``number``."""
+    older = [v for v in store.history(name) if v.number < number]
+    return older[-1] if older else None
+
+
+#: One store operation: ``("write", name, value)`` or
+#: ``("restore", name, version)`` (the version is taken modulo the
+#: object's history length, so every restore is legal).
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.sampled_from("abc"),
+                  st.integers(0, 99)),
+        st.tuples(st.just("restore"), st.sampled_from("abc"),
+                  st.integers(0, 50)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavour=st.sampled_from([DataStore, MultiVersionDataStore]),
+       initial=st.dictionaries(st.sampled_from("ab"), st.integers(0, 9)),
+       ops=_ops)
+def test_indexed_lookups_match_linear_scan(flavour, initial, ops):
+    store = flavour(initial)
+    for op, name, arg in ops:
+        if op == "write":
+            store.write(name, arg, writer="w")
+        elif name in store:
+            store.restore(name, arg % len(store.history(name)), writer="r")
+    for name in store.names():
+        n = len(store.history(name))
+        for number in range(-2, n + 3):
+            expected = _scan_version(store, name, number)
+            if expected is None:
+                with pytest.raises(VersionNotFoundError):
+                    store.version(name, number)
+            else:
+                assert store.version(name, number) is expected
+            expected = _scan_before(store, name, number)
+            if expected is None:
+                with pytest.raises(VersionNotFoundError):
+                    store.last_version_before(name, number)
+            else:
+                assert store.last_version_before(name, number) is expected
+    with pytest.raises(DataStoreError):
+        store.version("missing", 0)
+    with pytest.raises(DataStoreError):
+        store.last_version_before("missing", 1)

@@ -1,12 +1,20 @@
 """Tests for multi-epoch operation: healing sequential attack waves."""
 
-import pytest
+import random
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.axioms import audit_strict_correctness
 from repro.core.epochs import EpochManager
 from repro.errors import RecoveryError
 from repro.ids.attacks import AttackCampaign
+from repro.sim.fullstack import FullStackConfig, FullStackSimulator
 from repro.workflow.data import DataStore
 from repro.workflow.spec import workflow
+from repro.workflow.task import TaskSpec
 
 
 def accumulator_spec(name: str, delta: int):
@@ -19,6 +27,22 @@ def accumulator_spec(name: str, delta: int):
                   "counter": d["counter"] + delta,
                   f"out_{name}": d["counter"] + delta,
               })
+        .build()
+    )
+
+
+def gate_spec():
+    """Branch on the shared counter: ``high`` at 10 or more, else ``low``."""
+    return (
+        workflow("gate")
+        .task("check", reads=["counter"], writes=["mode"],
+              compute=lambda d: {"mode": 1 if d["counter"] >= 10 else 0},
+              choose=lambda d: "high" if d["mode"] else "low")
+        .task("high", reads=[], writes=["result"],
+              compute=lambda d: {"result": "high"})
+        .task("low", reads=[], writes=["result"],
+              compute=lambda d: {"result": "low"})
+        .edge("check", "high").edge("check", "low")
         .build()
     )
 
@@ -137,20 +161,7 @@ class TestBranchAcrossEpochs:
         mgr.run_workflow_attacked(accumulator_spec("a", 5), wave1, name="w1")
         mgr.heal(wave1.malicious_uids)  # counter back to 5
 
-        gate = (
-            workflow("gate")
-            .task("check", reads=["counter"], writes=["mode"],
-                  compute=lambda d: {
-                      "mode": 1 if d["counter"] >= 10 else 0
-                  },
-                  choose=lambda d: "high" if d["mode"] else "low")
-            .task("high", reads=[], writes=["result"],
-                  compute=lambda d: {"result": "high"})
-            .task("low", reads=[], writes=["result"],
-                  compute=lambda d: {"result": "low"})
-            .edge("check", "high").edge("check", "low")
-            .build()
-        )
+        gate = gate_spec()
         # Epoch 2: attacker inflates the counter read by the gate.
         wave2 = AttackCampaign().corrupt_task(
             "add", workflow_instance="w2", counter=50
@@ -163,3 +174,100 @@ class TestBranchAcrossEpochs:
         assert mgr.store.read("counter") == 7
         assert mgr.store.read("result") == "low"  # healed decision
         assert mgr.audit().ok, mgr.audit().problems
+
+
+def one_shot(mgr, initial):
+    """The literal Definition 2 audit: replay the whole combined history."""
+    return audit_strict_correctness(
+        mgr.specs_by_instance, initial, mgr.combined_history,
+        mgr.store.snapshot(),
+    )
+
+
+#: One attack wave: runs of ``(kind, delta, attacked)``.
+_wave = st.lists(
+    st.tuples(st.sampled_from(["add", "gate"]), st.integers(1, 9),
+              st.booleans()),
+    min_size=1, max_size=3,
+)
+
+
+class TestResumedAudit:
+    """``EpochManager.audit`` resumes one replay across heals; it must
+    agree with a from-scratch replay of the combined history."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(waves=st.lists(_wave, min_size=2, max_size=5))
+    def test_equals_one_shot_after_every_heal(self, waves):
+        initial = {"counter": 0}
+        mgr = EpochManager(DataStore(initial), initial)
+        for e, runs in enumerate(waves):
+            malicious = []
+            for i, (kind, delta, attacked) in enumerate(runs):
+                name = f"e{e}w{i}"
+                if kind == "add":
+                    spec = accumulator_spec(name, delta)
+                    campaign = AttackCampaign().corrupt_task(
+                        "add", counter=1000 + delta)
+                else:
+                    spec = gate_spec()
+                    campaign = AttackCampaign().corrupt_task(
+                        "check", mode=1)
+                if not attacked:
+                    campaign = None
+                mgr.run_workflow_attacked(spec, campaign, name=name)
+                if campaign is not None:
+                    malicious.extend(campaign.malicious_uids)
+            mgr.heal(malicious)
+            resumed = mgr.audit()
+            literal = one_shot(mgr, initial)
+            assert resumed.ok, resumed.problems
+            assert resumed.problems == literal.problems
+            assert resumed.replayed_snapshot == literal.replayed_snapshot
+
+    def test_canary_stale_object_mutation(self, manager):
+        """A wrong value written to an object last written epochs ago
+        fails the resumed audit exactly as it fails the one-shot one."""
+        mgr, initial = manager
+        mgr.run_workflow(accumulator_spec("old", 3), name="w0")
+        mgr.heal([])
+        assert mgr.audit().ok
+        for e in range(1, 4):
+            mgr.run_workflow(accumulator_spec(f"n{e}", e), name=f"w{e}")
+            mgr.heal([])
+            assert mgr.audit().ok
+        mgr.store.write("out_old", 999, writer="mutant")
+        resumed = mgr.audit()
+        literal = one_shot(mgr, initial)
+        assert not resumed.ok
+        assert resumed.problems == literal.problems == [
+            "object 'out_old': healed value 999 != replayed value 3"
+        ]
+
+    def test_fullstack_replays_each_healed_step_once(self, monkeypatch):
+        """Work count, not timing: over a whole run the auditor executes
+        each healed step's task exactly once, however many heals audit."""
+        managers = []
+        replayed = [0]
+        audit, run = EpochManager.audit, TaskSpec.run
+
+        def counting_audit(self):
+            if not any(m is self for m in managers):
+                managers.append(self)
+            return audit(self)
+
+        def counting_run(self, inputs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller == "repro.core.axioms":
+                replayed[0] += 1
+            return run(self, inputs)
+
+        monkeypatch.setattr(EpochManager, "audit", counting_audit)
+        monkeypatch.setattr(TaskSpec, "run", counting_run)
+        cfg = FullStackConfig(arrival_rate=1.0, alert_buffer=4,
+                              recovery_buffer=4)
+        result = FullStackSimulator(cfg, random.Random(0)).run(120.0)
+        assert result.all_heals_audited_ok
+        assert result.heals > 10
+        (mgr,) = managers
+        assert replayed[0] == len(mgr.combined_history)
