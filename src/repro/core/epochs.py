@@ -17,8 +17,12 @@ re-derive the world from the original initial data.
   first heal measures damage against the initial data;
 - a combined history across all epochs supports end-to-end
   strict-correctness audits against the original initial data; each
-  audit resumes one replay of that history, so it costs O(steps healed
-  since the last audit + objects), not O(history).
+  audit resumes one replay of that history and compares only the
+  objects written since the previous audit.
+
+Heal, roll and audit each visit only the objects the store's write
+journal names since the previous commit, so one commit costs
+O(objects written since the last commit), not O(store).
 
 One consequence of rolling: alerts naming instances of an already-rolled
 epoch are ignored by later heals (their log is archived).  Process every
@@ -69,6 +73,10 @@ class EpochManager:
         # holds the state a from-scratch replay reaches at its step count.
         self._replay = StrictCorrectnessReplay(self._specs, initial_data)
         self._baseline: Optional[Dict[str, int]] = None
+        # Write-journal marks: where the current epoch began (0: since
+        # the store was created) and where the previous audit stopped.
+        self._epoch_mark = 0
+        self._audit_mark = 0
         self._epoch = 0
         self._archived: List[SystemLog] = []
         self._combined_history: List[HistoryStep] = []
@@ -158,7 +166,7 @@ class EpochManager:
             bus.publish(HealStarted(started, malicious=tuple(malicious)))
         healer = Healer(
             self._store, self._log, self._specs, baseline=self._baseline,
-            bus=bus, clock=clock, profiler=profiler,
+            bus=bus, clock=clock, profiler=profiler, since=self._epoch_mark,
         )
         report = healer.heal(malicious, forged_runs=forged_runs)
         if publish:
@@ -182,10 +190,17 @@ class EpochManager:
         self._log = SystemLog()
         # The current (healed) store versions become the next epoch's
         # trusted baseline ("the last version before the next attack").
-        self._baseline = {
-            name: self._store.latest(name).number
-            for name in self._store.names()
-        }
+        # The first roll builds it; later rolls update only the objects
+        # written during the epoch, which keeps the full build's keys,
+        # values and order (new names are appended in creation order).
+        store = self._store
+        if self._baseline is None:
+            self._baseline, names = {}, store.names()
+        else:
+            names = store.written_since(self._epoch_mark)
+        for name in names:
+            self._baseline[name] = store.latest(name).number
+        self._epoch_mark = store.mark()
         self._epoch += 1
 
     # -- auditing ---------------------------------------------------------------
@@ -200,9 +215,13 @@ class EpochManager:
         initial data (Definition 2, end to end across epochs).
 
         Replays only the steps healed since the previous audit, then
-        compares the whole healed store with the replay — the same
-        verdict as :func:`~repro.core.axioms.audit_strict_correctness`
-        over :attr:`combined_history`.
+        compares only the objects either side changed since then — the
+        same verdict as
+        :func:`~repro.core.axioms.audit_strict_correctness` over
+        :attr:`combined_history` and the whole healed store.
         """
-        self._replay.extend(self._combined_history[self._replay.steps:])
-        return self._replay.report(self._store.snapshot())
+        replay, store = self._replay, self._store
+        replay.extend(self._combined_history[replay.steps:])
+        changed = store.written_since(self._audit_mark)
+        self._audit_mark = store.mark()
+        return replay.report(store.latest_values(), changed=changed)

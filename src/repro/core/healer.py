@@ -87,6 +87,9 @@ __all__ = ["Healer", "HealReport"]
 #: Safety bound on new-path executions per workflow during one heal.
 _MAX_INLINE_STEPS = 10_000
 
+#: Marks a name the settled view has not looked up yet.
+_UNSEEN = object()
+
 
 @dataclass
 class HealReport:
@@ -196,7 +199,9 @@ class _SettledView:
     ``(version number, value)`` it holds in the settled prefix, starting
     from the epoch *baseline*: the version each object had before the
     epoch's first normal record (by default, the object's initial
-    pre-log version).
+    pre-log version).  Baseline entries are looked up on first use and
+    cached — exact because version lists are append-only — so a heal
+    never walks the whole store.
     """
 
     def __init__(
@@ -205,40 +210,41 @@ class _SettledView:
         baseline: Optional[Mapping[str, int]] = None,
     ) -> None:
         self._store = store
-        self._current: Dict[str, Tuple[int, Any]] = {}
-        if baseline is not None:
-            for name, ver in baseline.items():
-                self._current[name] = (ver, store.version(name, ver).value)
-        else:
-            for name in store.names():
-                history = store.history(name)
-                if history and history[0].writer is None:
-                    self._current[name] = (
-                        history[0].number, history[0].value
-                    )
+        self._baseline = baseline
+        self._current: Dict[str, Optional[Tuple[int, Any]]] = {}
+
+    def get(self, name: str) -> Optional[Tuple[int, Any]]:
+        """Settled ``(version, value)`` of ``name``, or ``None`` when the
+        healed history has not produced it."""
+        entry = self._current.get(name, _UNSEEN)
+        if entry is not _UNSEEN:
+            return entry
+        store, entry = self._store, None
+        if self._baseline is not None:
+            ver = self._baseline.get(name)
+            if ver is not None:
+                entry = (ver, store.version(name, ver).value)
+        elif name in store:
+            first = store.version(name, 0)
+            if first.writer is None:
+                entry = (first.number, first.value)
+        self._current[name] = entry
+        return entry
 
     def read(self, name: str) -> Tuple[int, Any]:
         """Settled ``(version, value)`` of ``name``."""
-        try:
-            return self._current[name]
-        except KeyError:
+        entry = self.get(name)
+        if entry is None:
             raise RecoveryError(
                 f"object {name!r} has no value in the healed history "
                 "(it was created only by undone tasks)"
-            ) from None
-
-    def has(self, name: str) -> bool:
-        """Does ``name`` have a settled value?"""
-        return name in self._current
+            )
+        return entry
 
     def set(self, name: str, version: int, value: Any) -> None:
         """Record that the settled prefix now leaves ``name`` at
         ``(version, value)``."""
         self._current[name] = (version, value)
-
-    def items(self) -> Iterable[Tuple[str, Tuple[int, Any]]]:
-        """Iterate over settled ``name → (version, value)`` entries."""
-        return self._current.items()
 
 
 class Healer:
@@ -274,6 +280,13 @@ class Healer:
         :meth:`heal` splits its wall time into the ``heal.undo`` /
         ``heal.settle`` / ``heal.reconcile`` sub-phases (the algorithm's
         Phases A–C).  No-op when ``None``.
+    since:
+        Write-journal mark (:meth:`~repro.workflow.data.DataStore.mark`)
+        taken when the epoch began; reconcile visits only the objects
+        written after it.  ``0`` means "since the store was created".
+
+    ``specs_by_instance`` and ``baseline`` are read, never copied or
+    mutated, so constructing a healer costs O(1) however long the run.
     """
 
     def __init__(
@@ -285,11 +298,13 @@ class Healer:
         bus: Optional[EventBus] = None,
         clock: Optional[Callable[[], float]] = None,
         profiler: Optional[PhaseProfiler] = None,
+        since: int = 0,
     ) -> None:
         self._store = store
         self._log = log
-        self._specs = dict(specs_by_instance)
-        self._baseline = dict(baseline) if baseline is not None else None
+        self._specs = specs_by_instance
+        self._baseline = baseline
+        self._since = since
         self._bus = bus if bus is not None and bus.active else None
         self._clock = clock if clock is not None else _time.monotonic  # lint: allow[DET001] injectable clock; wall time is the live default
         self._profiler = profiler
@@ -454,10 +469,10 @@ class Healer:
         for name, ver in record.reads.items():
             if (name, ver) in dirty:
                 return True
-            if not view.has(name):
+            settled = view.get(name)
+            if settled is None:
                 return True  # healed history has not produced it (yet)
-            __, settled_value = view.read(name)
-            if settled_value != self._store.version(name, ver).value:
+            if settled[1] != self._store.version(name, ver).value:
                 return True  # upstream redo produced a different value
         return False
 
@@ -671,30 +686,22 @@ class Healer:
         return chosen
 
     def _reconcile(self, view: _SettledView) -> None:
-        """Phase C: make the physical store equal the settled view."""
+        """Phase C: make the physical store equal the settled view.
+
+        Only objects written since the epoch began can differ from it:
+        any other object still holds its baseline version, which is
+        also its settled version.
+        """
         store = self._store
-        settled = dict(view.items())
-        for name in list(store.names()):
+        for name in store.written_since(self._since):
             latest = store.latest(name)
-            if name in settled:
-                version, value = settled[name]
+            settled = view.get(name)
+            if settled is None:
+                # Only undone writes ever produced the object (it has no
+                # baseline value): mark it removed.
+                if latest.value is not TOMBSTONE:
+                    store.write(name, TOMBSTONE, writer="heal:reconcile")
+            else:
+                version, value = settled
                 if latest.number != version and latest.value != value:
                     store.write(name, value, writer="heal:reconcile")
-            else:
-                # Object exists only through undone writes; restore its
-                # trusted baseline value if one exists, else mark it
-                # removed.
-                if self._baseline is not None and name in self._baseline:
-                    base = store.version(name, self._baseline[name])
-                    if latest.value != base.value:
-                        store.write(name, base.value,
-                                    writer="heal:reconcile")
-                    continue
-                history = store.history(name)
-                if self._baseline is None and history[0].writer is None:
-                    if latest.value != history[0].value:
-                        store.write(
-                            name, history[0].value, writer="heal:reconcile"
-                        )
-                elif latest.value is not TOMBSTONE:
-                    store.write(name, TOMBSTONE, writer="heal:reconcile")

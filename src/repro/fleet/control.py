@@ -604,25 +604,28 @@ class FleetControlPlane:
                 pool.map(sweep, self.shards)  # lint: allow[RACE005] phase-confined; sanitizer barriers fence the join
             if self._sanitizer is not None:
                 self._sanitizer.barrier("sweep")
-        # Final rollup: harvest, shard-profile fold, health freeze.
-        with (prof.phase("rollup") if prof is not None
-              else nullcontext()):
-            self._harvest_serial()
-            if prof is not None:
-                self._fold_shard_profiles()
-            return FleetReport(
-                config=cfg,
-                health=self.health(),
-                ticks=self._ticks,
-                attacks=sum(s.attacks for s in self.shards),
-                alerts_accepted=sum(
-                    s.system.alert_queue.accepted for s in self.shards
-                ),
-                alerts_lost=sum(s.alerts_lost for s in self.shards),
-                scans=sum(s.scans for s in self.shards),
-                heals=sum(s.heals for s in self.shards),
-                central_deferrals=self._deferrals,
-            )
+            # Final rollup: worker shutdown, harvest, shard-profile
+            # fold, health freeze.  Joining the workers is fleet work,
+            # so it is timed here rather than left as a profile gap.
+            with (prof.phase("rollup") if prof is not None
+                  else nullcontext()):
+                pool.close()
+                self._harvest_serial()
+                if prof is not None:
+                    self._fold_shard_profiles()
+                return FleetReport(
+                    config=cfg,
+                    health=self.health(),
+                    ticks=self._ticks,
+                    attacks=sum(s.attacks for s in self.shards),
+                    alerts_accepted=sum(
+                        s.system.alert_queue.accepted for s in self.shards
+                    ),
+                    alerts_lost=sum(s.alerts_lost for s in self.shards),
+                    scans=sum(s.scans for s in self.shards),
+                    heals=sum(s.heals for s in self.shards),
+                    central_deferrals=self._deferrals,
+                )
 
     # -- live health -------------------------------------------------------
 

@@ -21,7 +21,12 @@ Design rules, in priority order:
 2. **Honest attribution.** ``attribution`` is the fraction of the
    profiled interval covered by top-level phases.  There is no
    catch-all bucket: un-instrumented driver time shows up as a coverage
-   *gap*, and the acceptance gate (≥95 %) keeps the gap small.
+   *gap*, and the acceptance gate (≥95 %) keeps the gap small.  A
+   garbage-collector pause is not driver time but the cost of the
+   phases' allocations: one that starts on the owner thread while no
+   phase is open is charged to the top-level phase that closed last
+   (or, before any has, to the next one to close), so where a
+   collection happens to land cannot open a gap.
 3. **Replay-inert.** Nothing here feeds back into the system under
    observation: the profiler only ever *reads* clocks, so attaching it
    cannot perturb replay byte-identity or worker-count invariance.
@@ -38,9 +43,11 @@ the report carries the per-run delta.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import threading
+import weakref
 import time  # lint: allow[DET001] — wall-clock profiling is this module's job
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -262,6 +269,12 @@ class PhaseProfiler:
         self._counters0: Dict[str, int] = {}
         self._registry: Optional[Any] = None
         self._hists: Dict[str, Any] = {}
+        # Collector pauses outside any phase (see the module docstring).
+        self._owner: Optional[int] = None
+        self._gc_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None
+        self._gc_t0: Optional[float] = None
+        self._gc_pending = 0.0
+        self._last_top: Optional[PhaseStat] = None
 
     def bind_registry(self, registry: Any) -> None:
         """Mirror every phase exit into a labeled registry histogram.
@@ -289,11 +302,26 @@ class PhaseProfiler:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "PhaseProfiler":
-        """Open the profiled interval; snapshots the global counters."""
-        self._t0 = self._wall_clock()
-        self._s0 = self._sim()
+        """Open the profiled interval; snapshots the global counters.
+
+        The interval opens last, so its own set-up is not a gap."""
         self._total_wall = None
         self._counters0 = counter_snapshot()
+        self._owner = threading.get_ident()
+        if self._gc_hook is None:
+            # Weakly bound: a profiler that is never stopped is still
+            # freed, leaving only an inert hook behind.
+            ref = weakref.ref(self)
+
+            def hook(phase: str, info: Dict[str, Any]) -> None:
+                prof = ref()
+                if prof is not None:
+                    prof._on_gc(phase)
+
+            self._gc_hook = hook
+            gc.callbacks.append(hook)
+        self._s0 = self._sim()
+        self._t0 = self._wall_clock()
         return self
 
     def stop(self) -> None:
@@ -303,6 +331,24 @@ class PhaseProfiler:
         if self._total_wall is None:
             self._total_wall = self._wall_clock() - self._t0
             self._total_sim = self._sim() - self._s0
+        if self._gc_hook is not None:
+            gc.callbacks.remove(self._gc_hook)
+            self._gc_hook = None
+
+    def _on_gc(self, phase: str) -> None:
+        """Charge a collector pause that ran while no phase was open."""
+        if phase == "start":
+            if not self._stack and threading.get_ident() == self._owner:
+                self._gc_t0 = self._wall_clock()
+            return
+        if self._gc_t0 is None:
+            return
+        pause = self._wall_clock() - self._gc_t0
+        self._gc_t0 = None
+        if self._last_top is not None:
+            self._last_top.wall += pause
+        else:
+            self._gc_pending += pause
 
     def _sim(self) -> float:
         return self._sim_clock() if self._sim_clock is not None else 0.0
@@ -326,6 +372,11 @@ class PhaseProfiler:
             if stat is None:
                 stat = self._stats[path] = PhaseStat()
             stat.add(wall, sim)
+            if not self._stack:
+                self._last_top = stat
+                if self._gc_pending:
+                    stat.wall += self._gc_pending
+                    self._gc_pending = 0.0
             if self._registry is not None:
                 self._observe(name, wall)
 

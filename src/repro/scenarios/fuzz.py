@@ -50,7 +50,7 @@ from typing import (
 )
 
 from repro.core.analyzer import RecoveryAnalyzer
-from repro.core.axioms import audit_strict_correctness
+from repro.core.axioms import CorrectnessReport, audit_strict_correctness
 from repro.core.epochs import EpochManager
 from repro.errors import GenerationError
 from repro.fleet.control import FleetConfig, FleetControlPlane, FleetReport
@@ -343,6 +343,21 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
                 picked.append(uid)
         return picked
 
+    def cross_checked_audit(stage: int) -> CorrectnessReport:
+        """``manager.audit()``, which resumes one replay and compares
+        only the objects changed since the previous audit; it must agree
+        with a from-scratch replay of the combined history."""
+        audit = manager.audit()
+        if audit != audit_strict_correctness(
+            manager.specs_by_instance, initial, manager.combined_history,
+            manager.store.snapshot(),
+        ):
+            violations.append(Violation(
+                "audit", f"resumed audit after stage {stage} differs from "
+                "a one-shot replay of the combined history"
+            ))
+        return audit
+
     def fire_timed(i: int, j: int, step) -> None:
         """Fire one scan/recovery-timed step at the current clock."""
         if step.kind == "false-alarm":
@@ -462,21 +477,13 @@ def _run_single_episode(campaign: CampaignSpec) -> _EpisodeResult:
             # never executed): roll the epoch so the audit covers them.
             manager.heal((), bus=bus, clock=clock, bracket=True)
             heals += 1
+        # Auditing every stage exercises the incremental comparison;
+        # only the last stage's verdict is judged (the run is over).
+        audit = cross_checked_audit(i)
 
-    audit = manager.audit()
     if not audit.ok:
         violations.append(Violation(
             "audit", "; ".join(audit.problems[:3])
-        ))
-    # The manager's audit resumes one replay across heals; it must agree
-    # with a from-scratch replay of the same combined history.
-    if audit != audit_strict_correctness(
-        manager.specs_by_instance, initial, manager.combined_history,
-        manager.store.snapshot(),
-    ):
-        violations.append(Violation(
-            "audit", "resumed audit differs from a one-shot replay of "
-            "the combined history"
         ))
     # Close the LTLf trace *before* the flight log: the finalize
     # violations land in the recorded text, so the determinism oracle's

@@ -39,6 +39,7 @@ run is slower than its own serial work — a loud
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
@@ -209,7 +210,11 @@ def _fan_out(
         perf_bump("pickle_bytes",
                   sum(len(pickle.dumps(task)) for task in tasks))
     t0 = time.perf_counter()  # lint: allow[DET001] host benchmark timing, not simulated time
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    # A forked worker inherits the parent's whole heap; freezing it keeps
+    # the worker's collections (and their timed pauses) to the objects
+    # the replication itself allocates.
+    with ProcessPoolExecutor(max_workers=pool_size,
+                             initializer=gc.freeze) as pool:
         spawn = time.perf_counter() - t0  # lint: allow[DET001] host benchmark timing, not simulated time
         futures = [pool.submit(worker, *task) for task in tasks]
         results = [f.result() for f in futures]

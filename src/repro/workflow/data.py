@@ -15,7 +15,8 @@ version history per data object.  Two store flavours exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import DataStoreError, VersionNotFoundError
@@ -73,13 +74,23 @@ class DataStore:
     Reads always observe the latest version (one copy per object); the
     history exists so that recovery can restore "the last version before
     the attack".
+
+    Every mutation goes through :meth:`write`, which also appends the
+    object's name to a write *journal*.  :meth:`mark` and
+    :meth:`written_since` let a caller visit only the objects written
+    since an earlier point instead of walking the whole store.
     """
 
     def __init__(self, initial: Optional[Mapping[str, Any]] = None) -> None:
         self._history: Dict[str, List[Version]] = {}
+        # Latest value of every object (kept by :meth:`write`), and the
+        # name of every object written, in write order.
+        self._latest: Dict[str, Any] = {}
+        self._journal: List[str] = []
         if initial:
             for name, value in initial.items():
                 self._history[name] = [Version(0, value, None)]
+                self._latest[name] = value
 
     # -- reading -------------------------------------------------------------
 
@@ -127,7 +138,24 @@ class DataStore:
 
     def snapshot(self) -> Dict[str, Any]:
         """Current value of every object (a plain dict copy)."""
-        return {name: vs[-1].value for name, vs in self._history.items()}
+        return dict(self._latest)
+
+    def latest_values(self) -> Mapping[str, Any]:
+        """Read-only live mapping of every object to its current value
+        (no copy: it reflects later writes)."""
+        return MappingProxyType(self._latest)
+
+    # -- write journal -------------------------------------------------------
+
+    def mark(self) -> int:
+        """Position in the write journal; pass to :meth:`written_since`."""
+        return len(self._journal)
+
+    def written_since(self, mark: int) -> List[str]:
+        """Names written after ``mark`` (``0``: since the store was
+        created; initial values are not writes), each once, in
+        first-write order."""
+        return list(dict.fromkeys(self._journal[mark:]))
 
     # -- writing -------------------------------------------------------------
 
@@ -140,6 +168,8 @@ class DataStore:
         versions = self._history.setdefault(name, [])
         number = versions[-1].number + 1 if versions else 0
         versions.append(Version(number, value, writer))
+        self._latest[name] = value
+        self._journal.append(name)
         return number
 
     def restore(self, name: str, number: int,

@@ -134,6 +134,7 @@ class DependencyAnalyzer:
         Mapping from *workflow instance id* to the
         :class:`~repro.workflow.spec.WorkflowSpec` that instance executes.
         Needed for control dependences; data dependences work without it.
+        Read at query time, never copied.
     """
 
     def __init__(
@@ -143,7 +144,9 @@ class DependencyAnalyzer:
     ) -> None:
         self._log = log
         self._records: Tuple[LogRecord, ...] = log.normal_records()
-        self._specs = dict(specs) if specs else {}
+        self._specs: Mapping[str, WorkflowSpec] = (
+            specs if specs is not None else {}
+        )
         self._control_cache: Dict[str, ControlDependencies] = {}
         self._writer_of_version: Dict[Tuple[str, int], str] = {}
         for r in self._records:

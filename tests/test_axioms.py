@@ -1,6 +1,8 @@
 """Tests for Axiom 1 and the strict-correctness audit (Definition 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.axioms import (
     CorrectnessReport,
@@ -9,6 +11,7 @@ from repro.core.axioms import (
     audit_strict_correctness,
     generates_incorrect_data,
 )
+from repro.workflow.data import TOMBSTONE
 from repro.workflow.log import SystemLog
 from repro.workflow.spec import workflow
 from repro.workflow.task import TaskInstance
@@ -193,6 +196,35 @@ class TestResumableReplay:
         first.replayed_snapshot["y"] = 999
         replay.extend(history(("b", 1)))
         assert replay.report({"x": 1, "y": 2, "z": 4}).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(rounds=st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(["r1", "r2"]),
+                               st.sampled_from(["a", "b"]),
+                               st.integers(1, 2)), max_size=3),
+            st.lists(st.tuples(st.sampled_from(["x", "y", "z", "q"]),
+                               st.sampled_from([0, 1, 2, 4, TOMBSTONE])),
+                     max_size=3),
+        ),
+        min_size=1, max_size=5,
+    ))
+    def test_change_set_report_equals_one_shot(self, rounds):
+        """Reports given the names changed since the previous report
+        match a from-scratch audit, whichever side changed."""
+        specs = {"r1": spec_ab(), "r2": spec_ab()}
+        replay = StrictCorrectnessReplay(specs, self.INITIAL)
+        steps, snapshot = [], dict(self.INITIAL)
+        for chunk, writes in rounds:
+            chunk = [HistoryStep(*step) for step in chunk]
+            replay.extend(chunk)
+            steps.extend(chunk)
+            for name, value in writes:
+                snapshot[name] = value
+            report = replay.report(snapshot,
+                                   changed=[name for name, __ in writes])
+            assert report == audit_strict_correctness(
+                specs, self.INITIAL, steps, snapshot)
 
     def test_problems_found_earlier_persist(self):
         replay = StrictCorrectnessReplay({"run": spec_ab()}, self.INITIAL)

@@ -171,3 +171,51 @@ def test_indexed_lookups_match_linear_scan(flavour, initial, ops):
         store.version("missing", 0)
     with pytest.raises(DataStoreError):
         store.last_version_before("missing", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flavour=st.sampled_from([DataStore, MultiVersionDataStore]),
+       initial=st.dictionaries(st.sampled_from("ab"), st.integers(0, 9)),
+       ops=_ops, cut=st.integers(0, 30))
+def test_write_journal_names_exactly_the_grown_histories(
+        flavour, initial, ops, cut):
+    """``written_since(mark)`` lists each object whose history grew after
+    ``mark`` once, in first-write order; the live value view tracks it."""
+    store = flavour(initial)
+    values = store.latest_values()
+    lengths, mark, order = None, None, []
+    for i, (op, name, arg) in enumerate(ops):
+        if i == cut:
+            mark = store.mark()
+            lengths = {n: len(store.history(n)) for n in store.names()}
+        if op == "write":
+            store.write(name, arg, writer="w")
+        elif name in store:
+            store.restore(name, arg % len(store.history(name)), writer="r")
+        else:
+            continue
+        if mark is not None and name not in order:
+            order.append(name)
+    if mark is None:
+        mark, order = store.mark(), []
+    elif lengths is not None:
+        assert order == [n for n in order
+                         if len(store.history(n)) > lengths.get(n, 0)]
+    assert store.written_since(mark) == order
+    assert store.written_since(store.mark()) == []
+    assert dict(values) == store.snapshot() == {
+        n: store.latest(n).value for n in store.names()}
+    assert ("missing" in values) is False
+    with pytest.raises(KeyError):
+        values["missing"]
+
+
+def test_journal_starts_empty_and_counts_restores():
+    store = DataStore({"x": 1})
+    assert store.mark() == 0 and store.written_since(0) == []
+    store.write("y", 2)
+    store.restore("x", 0)
+    store.write("y", 3)
+    assert store.mark() == 3
+    assert store.written_since(0) == ["y", "x"]
+    assert store.written_since(2) == ["y"]

@@ -8,6 +8,7 @@ conformance packs that ride the same PR.
 """
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -29,7 +30,11 @@ from repro.obs.perf import (
     bump,
     counter_snapshot,
 )
-from repro.sim.batch import ParallelSlowdownWarning, run_fullstack_batch
+from repro.sim.batch import (
+    ParallelSlowdownWarning,
+    _fan_out,
+    run_fullstack_batch,
+)
 from repro.sim.fullstack import FullStackConfig, run_replication
 
 
@@ -111,6 +116,42 @@ class TestPhaseAlgebra:
         extra = run(0.1)
         extra.rows[0]["calls"] += 1
         assert slow.structure_digest() != extra.structure_digest()
+
+    def test_collector_pauses_outside_phases_are_charged(self):
+        """A collection with no phase open is charged to the top-level
+        phase that closed last (or the next to close), never to a gap;
+        one inside a phase is already in that phase's wall time."""
+        clock = FakeClock()
+
+        def pause(phase, info):  # every collection takes 1.0
+            if phase == "start":
+                clock.advance(1.0)
+
+        was_enabled = gc.isenabled()
+        gc.disable()  # only the explicit collections below
+        hooks = len(gc.callbacks)
+        prof = PhaseProfiler(wall_clock=clock).start()
+        gc.callbacks.append(pause)
+        try:
+            gc.collect()  # before any phase: charged to the first
+            with prof.phase("detect"):
+                clock.advance(1.0)
+            gc.collect()  # in the gap after "detect"
+            with prof.phase("heal"):
+                gc.collect()  # inside "heal"
+                with prof.phase("heal.undo"):
+                    clock.advance(1.0)
+            prof.stop()
+        finally:
+            gc.callbacks.remove(pause)
+            if was_enabled:
+                gc.enable()
+        rows = rows_by_path(prof.report("unit"))
+        assert rows["detect"]["wall"] == pytest.approx(3.0)
+        assert rows["heal"]["wall"] == pytest.approx(2.0)
+        assert rows["heal"]["calls"] == 1 and rows["detect"]["calls"] == 1
+        assert prof.report().attribution == pytest.approx(1.0)
+        assert len(gc.callbacks) == hooks  # stop() unhooked the profiler
 
     def test_report_before_start_is_loud(self):
         with pytest.raises(ObsError):
@@ -223,6 +264,11 @@ class TestBatchProfile:
         assert any(p.startswith("batch.worker;detect")
                    for p in rows), "deep phases must nest under worker"
         assert report.attribution >= 0.95
+
+    def test_pool_workers_freeze_the_inherited_heap(self):
+        # A forked worker's collections must not walk the parent's heap.
+        counts = _fan_out(gc.get_freeze_count, [(), ()], workers=2)
+        assert all(count > 0 for count in counts)
 
     def test_parallel_batch_accounts_fan_out_and_warns(self):
         # Tiny work, real process pool: spawn dwarfs compute, so the
